@@ -27,22 +27,16 @@ verdicts are included in every ``--obs-summary`` output.
 Without these flags no tracer is attached and the experiment output is
 byte-identical to a build without the observability layer.
 
-Four further subcommands are intercepted before the experiment parser:
-``repro lint`` (static partition linter), ``repro perf`` (wall-clock
-benchmark suite appending to ``BENCH_perf.json`` — see docs/PERF.md),
-``repro secv`` (class- vs value-granular partitioning ablation —
-see docs/ANALYSIS.md, "Value-granular partitioning"),
-``repro traffic`` (open-loop traffic + elastic shard autoscaler — see
-docs/CONCURRENCY.md, "Autoscaling and live migration") and
-``repro offload`` (accelerator DMA offload vs in-enclave execution —
-see docs/PERF.md, "Zero-copy crossings and the offload ablation").
+The subcommands in :data:`DELEGATES` bring their own argparse and are
+handed the rest of the command line before the experiment parser runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
-from typing import Callable, Dict
+from typing import Callable, Dict, Tuple
 
 from repro.experiments import fig3_proxy_creation, fig4_rmi, fig5_gc
 from repro.experiments import fig6_synthetic, fig7_paldb, fig9_graphchi
@@ -249,20 +243,38 @@ COMMANDS: Dict[str, Callable[[str], None]] = {
 }
 
 
+#: Subcommands with their own argparse: name -> (module whose
+#: ``main(argv)`` runs it, one-line summary for the epilog). The module
+#: is imported only when its subcommand is run.
+DELEGATES: Dict[str, Tuple[str, str]] = {
+    "lint": (
+        "repro.analysis.cli",
+        "static partition linter over the bundled apps (see docs/ANALYSIS.md)",
+    ),
+    "secv": (
+        "repro.experiments.secv_exp",
+        "class- vs value-granular partitioning ablation (see docs/ANALYSIS.md)",
+    ),
+    "traffic": (
+        "repro.experiments.traffic_exp",
+        "open-loop load + admission control + elastic shard autoscaler "
+        "with sealed live migration (see docs/CONCURRENCY.md)",
+    ),
+    "offload": (
+        "repro.experiments.offload_exp",
+        "accelerator DMA offload vs in-enclave execution (see docs/PERF.md)",
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Montsalvat reproduction: regenerate paper figures/tables",
-        epilog=(
-            "additional subcommands: 'repro lint' — static partition linter "
-            "over the bundled apps (see docs/ANALYSIS.md); 'repro perf' — "
-            "wall-clock benchmark suite with BENCH trajectory + regression "
-            "gates (see docs/PERF.md); 'repro secv' — class- vs "
-            "value-granular partitioning ablation; 'repro traffic' — "
-            "open-loop load + admission control + elastic shard "
-            "autoscaler with sealed live migration (see docs/CONCURRENCY.md); "
-            "'repro offload' — accelerator DMA offload vs in-enclave "
-            "execution (see docs/PERF.md)"
+        epilog="additional subcommands: "
+        + "; ".join(
+            f"'repro {name}' — {summary}"
+            for name, (_, summary) in DELEGATES.items()
         ),
     )
     parser.add_argument(
@@ -319,31 +331,9 @@ def _run(args) -> None:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "lint":
-        # Static partition linter; its own argparse handles the rest.
-        from repro.analysis.cli import main as lint_main
-
-        return lint_main(list(argv[1:]))
-    if argv and argv[0] == "perf":
-        # Wall-clock bench suite; its own argparse handles the rest.
-        from repro.experiments.perf_bench import main as perf_main
-
-        return perf_main(list(argv[1:]))
-    if argv and argv[0] == "secv":
-        # Granularity ablation; its own argparse handles the rest.
-        from repro.experiments.secv_exp import main as secv_main
-
-        return secv_main(list(argv[1:]))
-    if argv and argv[0] == "traffic":
-        # Open-loop traffic + autoscaler ablation; own argparse.
-        from repro.experiments.traffic_exp import main as traffic_main
-
-        return traffic_main(list(argv[1:]))
-    if argv and argv[0] == "offload":
-        # Accelerator DMA offload ablation; its own argparse.
-        from repro.experiments.offload_exp import main as offload_main
-
-        return offload_main(list(argv[1:]))
+    if argv and argv[0] in DELEGATES:
+        module, _ = DELEGATES[argv[0]]
+        return importlib.import_module(module).main(list(argv[1:]))
     args = build_parser().parse_args(argv)
     wants_obs = args.trace or args.events or args.metrics or args.obs_summary
     if not wants_obs:

@@ -31,8 +31,6 @@ fingerprints the whole sweep for determinism.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -54,7 +52,7 @@ from repro.apps.securekeeper import (
 from repro.batching import BatchPolicy, attach_batching
 from repro.core import Partitioner, PartitionOptions
 from repro.errors import NonIdempotentReplayError, RetryExhaustedError
-from repro.experiments.common import ExperimentTable
+from repro.experiments.common import ExperimentTable, canonical_digest
 from repro.faults import (
     FaultInjector,
     FaultKind,
@@ -215,8 +213,7 @@ class BatchingReport:
             "durability": [d.to_dict() for d in self.durability_results],
             "identical": dict(sorted(self.identical.items())),
         }
-        blob = json.dumps(payload, sort_keys=True).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()
+        return canonical_digest(payload)
 
     def to_artifact(self) -> Dict[str, Any]:
         return run_artifact(

@@ -1,9 +1,12 @@
-"""Shared experiment infrastructure: result tables and config helpers."""
+"""Shared experiment infrastructure: result tables, fingerprints and
+config helpers."""
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -94,6 +97,13 @@ class ExperimentTable:
         if self.notes:
             lines.append(f"-- {self.notes}")
         return "\n".join(lines)
+
+
+def canonical_digest(payload: Any) -> str:
+    """sha256 hex digest of ``payload`` encoded as sorted-key JSON: the
+    fingerprint every artifact-producing experiment reports."""
+    blob = json.dumps(payload, sort_keys=True).encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()
 
 
 def orders_of_magnitude(value: float) -> float:

@@ -25,8 +25,6 @@ the CI smoke job both rely on this).
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -39,7 +37,7 @@ from repro.apps.securekeeper import (
 )
 from repro.core import Partitioner, PartitionOptions
 from repro.errors import NonIdempotentReplayError, RetryExhaustedError
-from repro.experiments.common import ExperimentTable
+from repro.experiments.common import ExperimentTable, canonical_digest
 from repro.faults import (
     FaultInjector,
     FaultKind,
@@ -191,8 +189,7 @@ class ChaosReport:
                 else None
             ),
         }
-        blob = json.dumps(payload, sort_keys=True).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()
+        return canonical_digest(payload)
 
     def to_artifact(self) -> Dict[str, Any]:
         return run_artifact(

@@ -27,8 +27,6 @@ something is actually staged.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -39,7 +37,7 @@ from repro.batching import BatchPolicy, attach_batching
 from repro.core import Partitioner, PartitionOptions
 from repro.core.annotations import ambient_context
 from repro.core.arena import attach_arena
-from repro.experiments.common import ExperimentTable
+from repro.experiments.common import ExperimentTable, canonical_digest
 from repro.obs.artifacts import run_artifact, write_artifact
 from repro.sgx.dma import DmaChannel
 
@@ -138,8 +136,7 @@ class OffloadReport:
             "verdicts": [v.to_dict() for v in self.verdicts],
             "arena_noop_identical": self.arena_noop_identical,
         }
-        blob = json.dumps(payload, sort_keys=True).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()
+        return canonical_digest(payload)
 
     def to_artifact(self) -> Dict[str, object]:
         return run_artifact(
@@ -274,7 +271,7 @@ def run_offload(
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """``python -m repro offload [--quick] [--out PATH]``."""
+    """``python -m repro offload [--out PATH]``."""
     import argparse
     import os
     import sys
@@ -282,11 +279,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro offload",
         description="accelerator DMA offload vs in-enclave execution",
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI-sized run (same kernels; kept for smoke-job symmetry)",
     )
     parser.add_argument(
         "--out",

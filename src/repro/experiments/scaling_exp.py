@@ -31,8 +31,6 @@ sequential path — the report records that check per workload
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -49,7 +47,7 @@ from repro.concurrency import (
 )
 from repro.core import Partitioner, PartitionOptions
 from repro.errors import RmiError
-from repro.experiments.common import ExperimentTable
+from repro.experiments.common import ExperimentTable, canonical_digest
 from repro.faults import FaultInjector, FaultKind, FaultRule
 from repro.obs.artifacts import run_artifact, write_artifact
 from repro.sgx.driver import SgxDriver
@@ -220,8 +218,7 @@ class ScalingReport:
             "identical": dict(sorted(self.identical.items())),
             "knee": dict(sorted(self.knee.items())),
         }
-        blob = json.dumps(payload, sort_keys=True).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()
+        return canonical_digest(payload)
 
     def to_artifact(self) -> Dict[str, Any]:
         return run_artifact(

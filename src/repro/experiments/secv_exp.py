@@ -27,8 +27,6 @@ Run it as ``python -m repro secv [--quick]``; the artifact lands in
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import os
 import sys
 from dataclasses import dataclass, field
@@ -53,7 +51,7 @@ from repro.apps.securekeeper import (
 from repro.core import Partitioner, PartitionOptions
 from repro.core.annotations import Side
 from repro.core.tcb import partitioned_tcb
-from repro.experiments.common import ExperimentTable
+from repro.experiments.common import ExperimentTable, canonical_digest
 from repro.obs.artifacts import run_artifact, write_artifact
 
 DEFAULT_SEED = 9_043
@@ -185,8 +183,7 @@ class SecvReport:
             "checksum_match": dict(sorted(self.checksum_match.items())),
             "zero_cost": dict(sorted(self.zero_cost.items())),
         }
-        blob = json.dumps(payload, sort_keys=True).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()
+        return canonical_digest(payload)
 
     def to_artifact(self) -> Dict[str, Any]:
         return run_artifact(

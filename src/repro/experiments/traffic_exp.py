@@ -29,8 +29,6 @@ outcome (CI ``traffic-smoke`` runs it twice and compares).
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -51,7 +49,7 @@ from repro.concurrency import (
     attach_worker_pool,
 )
 from repro.core import Partitioner, PartitionOptions
-from repro.experiments.common import ExperimentTable
+from repro.experiments.common import ExperimentTable, canonical_digest
 from repro.faults import FaultInjector, FaultKind, FaultRule, RetryPolicy
 from repro.obs.artifacts import run_artifact, write_artifact
 from repro.obs.slo import SloWatchdog, default_rulebook
@@ -280,8 +278,7 @@ class TrafficReport:
             "slo_holds": dict(sorted(self.slo_holds.items())),
             "stamped": [self.stamped_requests, round(self.stamped_rps, 1)],
         }
-        blob = json.dumps(payload, sort_keys=True).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()
+        return canonical_digest(payload)
 
     def to_artifact(self) -> Dict[str, Any]:
         return run_artifact(

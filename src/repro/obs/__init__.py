@@ -18,13 +18,13 @@ three coordinated views:
   created while it is active (how the CLI's ``--trace`` works);
 - :mod:`repro.obs.artifacts` — machine-readable JSON artifacts for
   experiment tables and benchmark results;
-- :mod:`repro.obs.perf` — a *wall-clock* self-profiler for the
-  simulator's own hot paths (call-tree, hotspot table, flame export);
 - :mod:`repro.obs.slo` — declarative SLO rules (threshold / rate /
   burn-rate) evaluated against the live metrics in virtual time,
-  emitting typed alerts into the span stream;
-- :mod:`repro.obs.bench` — the schema-versioned ``BENCH_perf.json``
-  trajectory file (one entry per commit, regression comparisons).
+  emitting typed alerts into the span stream.
+
+Everything here observes the *virtual* clock. How long the simulator
+itself takes on the wall clock is measured from outside the package by
+``layerbench/`` (see ``layerbench/README.md``).
 
 Observability is **off by default**: an unconfigured platform carries a
 no-op tracer and its virtual-time output is bit-identical to a build
@@ -33,7 +33,6 @@ without this package.
 
 from repro.obs.core import Observability
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.perf import SimulatorHooks, WallProfiler, profiled
 from repro.obs.recorder import RunRecorder, active_recorder, recording
 from repro.obs.slo import Alert, SloRule, SloWatchdog, default_rulebook
 from repro.obs.tracer import NULL_TRACER, NullTracer, Span, SpanTracer
@@ -48,14 +47,11 @@ __all__ = [
     "NullTracer",
     "Observability",
     "RunRecorder",
-    "SimulatorHooks",
     "SloRule",
     "SloWatchdog",
     "Span",
     "SpanTracer",
-    "WallProfiler",
     "active_recorder",
     "default_rulebook",
-    "profiled",
     "recording",
 ]

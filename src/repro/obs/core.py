@@ -27,13 +27,11 @@ class Observability:
         self,
         clock: Any,
         ring_capacity: int = DEFAULT_RING_CAPACITY,
-        mirror_charges: bool = True,
         label: str = "",
     ) -> None:
         self.tracer = SpanTracer(clock, capacity=ring_capacity)
         self.metrics = MetricsRegistry()
         self.label = label
-        self._mirror_charges = mirror_charges
 
     # -- Platform.charge observer -------------------------------------------
 
@@ -44,8 +42,6 @@ class Observability:
         clock or touches the ledger; with observability enabled the
         virtual-time figures are still identical.
         """
-        if not self._mirror_charges:
-            return
         metrics = self.metrics
         metrics.counter(f"charge.count.{category}").inc()
         metrics.counter(f"charge.ns.{category}").inc(ns)

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from repro.cli import main as cli_main
+from repro.cli import DELEGATES, main as cli_main
 from repro.experiments.ablations import (
     run_gc_period_ablation,
     run_hash_ablation,
@@ -193,3 +193,16 @@ class TestCli:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             cli_main(["fig99"])
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [pytest.param([name, "--help"], 0, id=name) for name in sorted(DELEGATES)]
+        # No `perf` subcommand: layerbench/ measures wall-clock speed.
+        + [pytest.param(["perf"], 2, id="perf")],
+    )
+    def test_dispatch(self, argv, code, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == code
+        if code == 2:
+            assert "invalid choice: 'perf'" in capsys.readouterr().err

@@ -1,7 +1,8 @@
 """Golden-fingerprint regression tests for the artifact-producing runs.
 
-``repro batch``, ``repro chaos`` and ``repro scale`` each hash their
-full report (ledgers, checksums, schedules) into one fingerprint. Two
+``repro batch``, ``chaos``, ``scale``, ``traffic``, ``secv`` and
+``offload`` each hash their full report (ledgers, checksums, schedules)
+into one fingerprint. Two
 guarantees are pinned here:
 
 1. **replay** — running the same sweep twice with the same seed inside
@@ -32,7 +33,9 @@ import pytest
 from repro.experiments import (
     batching_exp,
     fault_recovery,
+    offload_exp,
     scaling_exp,
+    secv_exp,
     traffic_exp,
 )
 from repro.obs.artifacts import validate_artifact
@@ -69,6 +72,8 @@ RUNNERS = {
         diurnal_requests=120,
         chaos_requests=30,
     ),
+    "secv": lambda: secv_exp.run_secv(quick=True),
+    "offload": lambda: offload_exp.run_offload(),
 }
 
 

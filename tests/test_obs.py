@@ -1,6 +1,7 @@
 """Observability layer: tracer, metrics, exporters, recorder, artifacts."""
 
 import json
+import re
 
 import pytest
 
@@ -647,13 +648,18 @@ class TestCliObservability:
         )
         out = capsys.readouterr().out
         assert "SLO verdicts" in out
-        # The saturated-pool sweep points drive the burn-rate rule.
-        assert "pool-fallback-burn" in out
+        # The saturated-pool sweep points breach the burn-rate rule.
+        assert re.search(r"^\s+pool-fallback-burn\s+BREACHED", out, re.M), out
         doc = obs_export.load_chrome_trace(str(trace_path))
         names = {e["name"] for e in doc["traceEvents"]}
         assert "sgx.ecall" in names
         # The alert is visible in the span stream, not only the summary.
-        assert "slo.alert" in names
+        alerted = {
+            e["args"]["rule"]
+            for e in doc["traceEvents"]
+            if e["name"] == "slo.alert"
+        }
+        assert "pool-fallback-burn" in alerted, alerted
 
         assert cli.main(["chaos", "--scale", "small", "--obs-summary"]) == 0
         out = capsys.readouterr().out

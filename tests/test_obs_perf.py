@@ -1,27 +1,15 @@
-"""Performance observability: profiler, SLO watchdog, BENCH trajectory.
+"""SLO watchdog and exporter edge cases.
 
-Covers the wall-clock self-profiler (:mod:`repro.obs.perf`), the SLO
-watchdog (:mod:`repro.obs.slo`), the trajectory file helpers
-(:mod:`repro.obs.bench`), the ``repro perf`` harness, and the exporter
-edge cases the satellite tasks call out (empty run, post-wrap Chrome
-export, schema round-trips).
+Covers the SLO watchdog (:mod:`repro.obs.slo`) and the exporter edge
+cases: empty run, post-wrap Chrome export, schema round-trips.
 """
 
 import json
-from itertools import count
-from types import SimpleNamespace
 
 import pytest
 
 from repro.costs.platform import Platform
-from repro.obs import bench as obs_bench
 from repro.obs import export as obs_export
-from repro.obs.perf import (
-    SimulatorHooks,
-    WallProfiler,
-    profiled,
-    validate_perf,
-)
 from repro.obs.recorder import RunRecorder, recording
 from repro.obs.slo import (
     SloRule,
@@ -32,203 +20,6 @@ from repro.obs.slo import (
     write_slo,
     load_slo,
 )
-
-
-def fake_timer(step_ns: int = 100):
-    """Deterministic monotonic timer: 0, step, 2*step, ..."""
-    ticks = count(0, step_ns)
-    return lambda: next(ticks)
-
-
-# -- wall profiler ---------------------------------------------------------------
-
-
-class TestWallProfiler:
-    def test_nested_sections_attribute_self_time(self):
-        prof = WallProfiler(timer=fake_timer())
-        with prof.profile_section("outer"):
-            with prof.profile_section("inner"):
-                pass
-        # Each timer read advances 100ns: outer spans 3 ticks (300ns),
-        # inner 1 tick (100ns); outer self time excludes inner.
-        rows = {row["path"]: row for row in prof.hotspots(top=10)}
-        assert rows["outer"]["total_ns"] == 300
-        assert rows["outer"]["self_ns"] == 200
-        assert rows["outer;inner"]["total_ns"] == 100
-        assert prof.total_ns == 300
-
-    def test_repeat_calls_aggregate_per_path(self):
-        prof = WallProfiler(timer=fake_timer())
-        for _ in range(3):
-            with prof.profile_section("hot"):
-                pass
-        (row,) = prof.hotspots()
-        assert row["calls"] == 3
-        assert row["total_ns"] == 300
-
-    def test_same_name_under_different_parents_is_two_paths(self):
-        prof = WallProfiler(timer=fake_timer())
-        with prof.profile_section("a"):
-            with prof.profile_section("leaf"):
-                pass
-        with prof.profile_section("b"):
-            with prof.profile_section("leaf"):
-                pass
-        paths = {row["path"] for row in prof.hotspots(top=10)}
-        assert {"a;leaf", "b;leaf"} <= paths
-        # ...but self_by_name/shares fold them back together.
-        assert prof.self_by_name()["leaf"] == 200
-
-    def test_record_attributes_premeasured_time(self):
-        prof = WallProfiler(timer=fake_timer())
-        prof.record("external", 5_000)
-        prof.record("external", 5_000)
-        (row,) = prof.hotspots()
-        assert row["calls"] == 2 and row["total_ns"] == 10_000
-
-    def test_shares_sum_to_one(self):
-        prof = WallProfiler(timer=fake_timer())
-        with prof.profile_section("a"):
-            with prof.profile_section("b"):
-                pass
-        shares = prof.shares()
-        assert shares and sum(shares.values()) == pytest.approx(1.0)
-
-    def test_collapsed_stacks_format(self):
-        prof = WallProfiler(timer=fake_timer())
-        with prof.profile_section("a"):
-            with prof.profile_section("b"):
-                pass
-        lines = prof.collapsed_stacks().splitlines()
-        assert "a 200" in lines
-        assert "a;b 100" in lines
-
-    def test_reset_clears_everything(self):
-        prof = WallProfiler(timer=fake_timer())
-        with prof.profile_section("x"):
-            pass
-        prof.reset()
-        assert prof.total_ns == 0
-        assert prof.hotspots() == []
-
-    def test_perf_schema_round_trip(self, tmp_path):
-        prof = WallProfiler(timer=fake_timer())
-        with prof.profile_section("a"):
-            with prof.profile_section("b"):
-                pass
-        doc = prof.to_dict(top=5)
-        validate_perf(doc)
-        # Survives JSON serialization.
-        reloaded = json.loads(json.dumps(doc))
-        validate_perf(reloaded)
-        assert reloaded["schema"] == "repro.obs/perf@1"
-        assert reloaded["total_ns"] == 300
-
-    def test_validate_perf_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            validate_perf([])
-        with pytest.raises(ValueError):
-            validate_perf({"schema": "nope", "tree": []})
-        with pytest.raises(ValueError):
-            validate_perf(
-                {
-                    "schema": "repro.obs/perf@1",
-                    "tree": [{"name": "x", "calls": -1, "total_ns": 0,
-                              "self_ns": 0, "children": []}],
-                }
-            )
-
-
-# -- simulator hooks -------------------------------------------------------------
-
-
-class TestSimulatorHooks:
-    def test_install_uninstall_restores_originals(self):
-        from repro.concurrency.scheduler import SessionScheduler
-        from repro.core import wire
-        from repro.obs.tracer import SpanTracer
-        from repro.sgx.epc import EpcPageCache
-
-        originals = (
-            SpanTracer._commit,
-            EpcPageCache.touch,
-            wire.dumps,
-            SessionScheduler.step,
-        )
-        hooks = SimulatorHooks(WallProfiler(timer=fake_timer()))
-        hooks.install()
-        try:
-            assert wire.dumps is not originals[2]
-            assert getattr(wire.dumps, "__wrapped_by_simulator_hooks__", False)
-        finally:
-            hooks.uninstall()
-        assert (
-            SpanTracer._commit,
-            EpcPageCache.touch,
-            wire.dumps,
-            SessionScheduler.step,
-        ) == originals
-        assert not hooks.installed
-
-    def test_double_install_raises(self):
-        hooks = SimulatorHooks(WallProfiler(timer=fake_timer()))
-        with hooks:
-            with pytest.raises(RuntimeError):
-                hooks.install()
-
-    def test_hooked_run_records_hot_sections(self):
-        from repro.experiments.scaling_exp import run_scale
-
-        with profiled() as prof:
-            run_scale("bank", sessions=2, shards=2, workers=2, rounds=3)
-        by_name = prof.self_by_name()
-        assert by_name.get("scheduler.pump", 0) > 0
-
-    def test_wire_codec_sections_recorded(self):
-        from repro.core import wire
-
-        with profiled() as prof:
-            blob = wire.dumps({"k": [1, 2, 3]})
-            assert wire.loads(blob) == {"k": [1, 2, 3]}
-        by_name = prof.self_by_name()
-        assert by_name.get("wire.encode", -1) >= 0
-        assert by_name.get("wire.decode", -1) >= 0
-        rows = {r["path"]: r for r in prof.hotspots(top=10)}
-        assert rows["wire.encode"]["calls"] == 1
-        assert rows["wire.decode"]["calls"] == 1
-
-    def test_tracer_emit_section_recorded(self):
-        platform = Platform()
-        obs = platform.enable_observability()
-        with profiled() as prof:
-            obs.tracer.instant("tick")
-        assert prof.self_by_name().get("tracer.emit", -1) >= 0
-
-    def test_zero_cost_off_full_ledger_identity(self):
-        """Acceptance: with the profiler hooked in, the *virtual* output
-        (full ledger, clock, checksums, interleaving) is byte-identical
-        to a run without it."""
-        from repro.experiments.scaling_exp import run_scale
-
-        kwargs = dict(sessions=2, shards=2, workers=2, rounds=4)
-        plain = run_scale("bank", **kwargs)
-        with profiled():
-            hooked = run_scale("bank", **kwargs)
-        plain_again = run_scale("bank", **kwargs)
-        assert plain.ledger == plain_again.ledger  # determinism baseline
-        assert hooked.ledger == plain.ledger
-        assert hooked.now_s == plain.now_s
-        assert hooked.checksum == plain.checksum
-        assert hooked.trace_digest == plain.trace_digest
-
-    def test_zero_cost_off_figure_table_identity(self):
-        """Cost tables render byte-identically under the profiler."""
-        from repro.experiments.fig3_proxy_creation import run_fig3
-
-        plain = run_fig3(counts=(300, 600)).format()
-        with profiled():
-            hooked = run_fig3(counts=(300, 600)).format()
-        assert hooked == plain
 
 
 # -- SLO rules -------------------------------------------------------------------
@@ -523,193 +314,6 @@ class TestSloRules:
         assert watched.ledger == plain.ledger
         assert watched.now_s == plain.now_s
         assert watched.trace_digest == plain.trace_digest
-
-
-# -- bench trajectory ------------------------------------------------------------
-
-
-def _entry(commit="c1", mode="quick", rps=1000.0, fingerprint="f1"):
-    return {
-        "commit": commit,
-        "mode": mode,
-        "workloads": {
-            "w": {
-                "requests_per_sec": rps,
-                "p50_ms": 1.0,
-                "p95_ms": 2.0,
-                "hotspots": [],
-                "virtual_fingerprint": fingerprint,
-            }
-        },
-    }
-
-
-class TestBenchTrajectory:
-    def test_missing_file_is_empty_trajectory(self, tmp_path):
-        doc = obs_bench.load_bench(str(tmp_path / "none.json"))
-        assert doc["entries"] == []
-        obs_bench.validate_bench(doc)
-
-    def test_append_and_previous_by_mode(self, tmp_path):
-        doc = obs_bench.empty_doc()
-        assert obs_bench.append_entry(doc, _entry("c1")) is None
-        previous = obs_bench.append_entry(doc, _entry("c2"))
-        assert previous["commit"] == "c1"
-        # A full-mode entry is never the baseline for a quick one.
-        obs_bench.append_entry(doc, _entry("c3", mode="full"))
-        previous = obs_bench.append_entry(doc, _entry("c4"))
-        assert previous["commit"] == "c2"
-        path = tmp_path / "BENCH.json"
-        obs_bench.write_bench(str(path), doc)
-        assert obs_bench.load_bench(str(path)) == doc
-
-    def test_same_commit_replaces_not_stacks(self):
-        doc = obs_bench.empty_doc()
-        obs_bench.append_entry(doc, _entry("c1", rps=100.0))
-        obs_bench.append_entry(doc, _entry("c1", rps=200.0))
-        assert len(doc["entries"]) == 1
-        assert doc["entries"][0]["workloads"]["w"]["requests_per_sec"] == 200.0
-
-    def test_compare_flags_regression_and_floor(self):
-        current = _entry("c2", rps=700.0)
-        baseline = _entry("c1", rps=1000.0)
-        assert obs_bench.compare(current, baseline, tolerance=0.25) != []
-        assert obs_bench.compare(current, baseline, tolerance=0.5) == []
-        assert obs_bench.compare(current, None, tolerance=0.25,
-                                 floor_rps=800.0) != []
-        assert obs_bench.compare(current, None, tolerance=0.25,
-                                 floor_rps=100.0) == []
-
-    def test_fingerprint_drift_is_surfaced(self):
-        current = _entry("c2", fingerprint="changed")
-        baseline = _entry("c1", fingerprint="original")
-        assert obs_bench.fingerprint_drift(current, baseline) != []
-        assert obs_bench.fingerprint_drift(current, None) == []
-        same = _entry("c3", fingerprint="original")
-        assert obs_bench.fingerprint_drift(same, baseline) == []
-
-    def test_validate_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            obs_bench.validate_bench({"schema": "nope", "entries": []})
-        bad = obs_bench.empty_doc()
-        bad["entries"].append({"commit": "c", "mode": "quick", "workloads": {}})
-        with pytest.raises(ValueError):
-            obs_bench.validate_bench(bad)
-        negative = obs_bench.empty_doc()
-        negative["entries"].append(_entry(rps=0.0))
-        with pytest.raises(ValueError):
-            obs_bench.validate_bench(negative)
-
-
-# -- the perf harness ------------------------------------------------------------
-
-
-class TestPerfHarness:
-    def test_measure_workload_is_deterministic(self):
-        from repro.experiments.perf_bench import Workload, measure_workload
-
-        def body(seed):
-            run = SimpleNamespace(
-                trace_digest="d", now_s=1.0, checksum=(seed,),
-                ledger={"cat": (1, 2.0)},
-            )
-            return 10, [run]
-
-        result = measure_workload(
-            Workload("unit", "test", body), seed=7, repeats=3
-        )
-        assert result.requests == 10
-        assert result.repeats == 3
-        assert len(result.wall_ms) == 3
-        assert result.requests_per_sec > 0
-
-    def test_nondeterministic_workload_aborts(self):
-        from repro.experiments.perf_bench import Workload, measure_workload
-
-        ticks = count()
-
-        def body(seed):
-            run = SimpleNamespace(
-                trace_digest="d", now_s=1.0, checksum=(next(ticks),),
-                ledger={},
-            )
-            return 1, [run]
-
-        with pytest.raises(RuntimeError, match="not deterministic"):
-            measure_workload(
-                Workload("flaky", "test", body), seed=7, repeats=2
-            )
-
-    def test_quick_suite_via_cli(self, tmp_path, capsys):
-        """Acceptance: 'repro perf' writes a valid trajectory with >=3
-        workloads, the overload scenario fires pool-fallback-burn into
-        both the span-visible slo@1 report and the entry, and the
-        virtual fingerprints are identical across two runs."""
-        from repro import cli
-
-        bench_path = tmp_path / "BENCH_perf.json"
-        profile_dir = tmp_path / "perf"
-        args = [
-            "perf", "--quick",
-            "--bench", str(bench_path),
-            "--profile-dir", str(profile_dir),
-            "--floor", "1",
-        ]
-        assert cli.main(list(args)) == 0
-        out_first = capsys.readouterr().out
-        assert "pool-fallback-burn" in out_first
-
-        doc = obs_bench.load_bench(str(bench_path))
-        (entry,) = doc["entries"]
-        assert len(entry["workloads"]) >= 3
-        for workload in entry["workloads"].values():
-            assert workload["requests_per_sec"] > 0
-            assert workload["p95_ms"] >= workload["p50_ms"] >= 0
-            assert len(workload["hotspots"]) <= 5
-            assert workload["virtual_fingerprint"]
-        assert "pool-fallback-burn" in entry["slo"]["breached"]
-
-        slo_doc = load_slo(str(profile_dir / "slo.json"))
-        assert any(
-            alert["rule"] == "pool-fallback-burn" for alert in slo_doc["alerts"]
-        )
-        # Per-workload profiler dumps exist and validate.
-        for name in entry["workloads"]:
-            perf_doc = json.loads(
-                (profile_dir / f"{name}.perf.json").read_text()
-            )
-            validate_perf(perf_doc)
-            assert (profile_dir / f"{name}.collapsed.txt").exists()
-
-        # Second run: same commit+mode replaces the entry; the virtual
-        # fingerprints must come out identical.
-        first = {
-            name: w["virtual_fingerprint"]
-            for name, w in entry["workloads"].items()
-        }
-        assert cli.main(list(args)) == 0
-        capsys.readouterr()
-        doc2 = obs_bench.load_bench(str(bench_path))
-        (entry2,) = doc2["entries"]
-        second = {
-            name: w["virtual_fingerprint"]
-            for name, w in entry2["workloads"].items()
-        }
-        assert second == first
-
-    def test_floor_violation_fails(self, tmp_path, capsys):
-        from repro.experiments.perf_bench import main as perf_main
-
-        rc = perf_main(
-            [
-                "--quick",
-                "--bench", str(tmp_path / "BENCH.json"),
-                "--no-write",
-                "--floor", "1e12",
-            ]
-        )
-        assert rc == 1
-        assert "below the floor" in capsys.readouterr().out
 
 
 # -- exporter edge cases ---------------------------------------------------------
